@@ -3,7 +3,7 @@ GO ?= go
 # `make bench BENCH=BENCH_pr10.json`.
 BENCH ?= BENCH_pr10.json
 
-.PHONY: build bins test race vet bench overhead smoke ci
+.PHONY: build bins test benchmod race vet bench overhead smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# benchmod vets and tests sfibench/, the benchmark's own Go module: the
+# root `go test ./...` never builds it, so without this an API change in
+# the packages it imports would break the benchmark unnoticed.
+benchmod:
+	cd sfibench && $(GO) vet ./... && $(GO) test ./...
 
 # The -race pass targets the packages that exercise concurrent model copies
 # and cross-process coordination: internal/core (campaign fan-out over
@@ -59,4 +65,4 @@ overhead:
 smoke:
 	$(GO) test -count=1 -run TestLoopbackSubmitConvergeReport ./internal/server
 
-ci: vet build bins test race overhead smoke
+ci: vet build bins test benchmod race overhead smoke

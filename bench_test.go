@@ -296,14 +296,14 @@ func BenchmarkInjectionObserved(b *testing.B) {
 // BenchmarkCampaignThroughput measures end-to-end campaign speed —
 // injections classified per second, the quantity the paper's whole argument
 // rests on ("multiple concurrent copies of the simulation environment can
-// be run"). The default path warms one prototype and clones it per worker;
-// the fresh-workers sub-bench is the seed behaviour (every worker
-// re-generates and re-warms its own model) kept for comparison.
+// be run"). It warms one prototype and clones it per worker; the start-up
+// cost of cloning versus building a runner from scratch is measured by
+// internal/core's BenchmarkRunnerClone.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	// Workers is pinned (rather than left at GOMAXPROCS) so the per-worker
 	// start-up cost is exercised the same way on any machine.
-	base := CampaignConfig{Runner: benchRunner(), Seed: 12, Flips: 400, Workers: 4, KeepResults: false}
-	run := func(b *testing.B, cfg CampaignConfig) {
+	cfg := CampaignConfig{Runner: benchRunner(), Seed: 12, Flips: 400, Workers: 4, KeepResults: false}
+	b.Run("warm-clones", func(b *testing.B) {
 		total := 0
 		for i := 0; i < b.N; i++ {
 			rep, err := RunCampaign(cfg)
@@ -313,12 +313,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			total += rep.Total
 		}
 		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "inj/s")
-	}
-	b.Run("warm-clones", func(b *testing.B) { run(b, base) })
-	b.Run("fresh-workers", func(b *testing.B) {
-		cfg := base
-		cfg.NoClone = true
-		run(b, cfg)
 	})
 }
 

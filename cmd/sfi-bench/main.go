@@ -115,8 +115,7 @@ type benchRecord struct {
 	RestoreFullNsOp  float64 `json:"restore_full_ns_op"`
 
 	CampaignInjPerSec struct {
-		WarmClones   float64 `json:"warm_clones"`
-		FreshWorkers float64 `json:"fresh_workers"`
+		WarmClones float64 `json:"warm_clones"`
 	} `json:"campaign_inj_per_sec"`
 
 	DistLoopback struct {
@@ -302,10 +301,6 @@ func run(out string, guard bool, baselinePath string, record bool, count int) er
 	if err != nil {
 		return err
 	}
-	fresh, err := best(camps, "BenchmarkCampaignThroughput/fresh-workers")
-	if err != nil {
-		return err
-	}
 
 	rec := benchRecord{
 		Date:                  time.Now().UTC().Format(time.RFC3339),
@@ -319,7 +314,6 @@ func run(out string, guard bool, baselinePath string, record bool, count int) er
 		RestoreFullNsOp:       full.nsPerOp,
 	}
 	rec.CampaignInjPerSec.WarmClones = warm.metrics["inj/s"]
-	rec.CampaignInjPerSec.FreshWorkers = fresh.metrics["inj/s"]
 	rec.DistLoopback.ObsOffMs = 1000 * distOff
 	rec.DistLoopback.ObsOnMs = 1000 * distOn
 	rec.DistLoopback.OverheadPct = 100 * distOverhead

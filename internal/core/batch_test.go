@@ -37,7 +37,9 @@ func reportDump(t *testing.T, rep *Report) string {
 // TestBatchScalarEquivalence is the tentpole's correctness gate: the same
 // (seed, flips, filter) campaign run through the bit-parallel batch path
 // and the scalar path must produce byte-identical Reports, for toggle,
-// sticky (bounded and permanent) and multi-bit-span injections.
+// sticky (bounded and permanent) and multi-bit-span injections, and for a
+// Neyman-allocated stratified campaign (per-stratum rows and kept-result
+// order included).
 func TestBatchScalarEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -53,6 +55,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			c.Runner.StickyCycles = 0
 		}},
 		{"span3", func(c *CampaignConfig) { c.Runner.SpanBits = 3 }},
+		{"neyman", func(c *CampaignConfig) { c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 3} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sfi/internal/latch"
@@ -41,12 +40,6 @@ type CampaignConfig struct {
 	// false for very large campaigns to save memory; aggregates are
 	// always kept).
 	KeepResults bool
-
-	// NoClone makes every worker build its own runner from scratch
-	// (re-generating the AVP and re-running the warm-up) instead of
-	// cloning the warmed prototype. Kept as the slow reference path for
-	// benchmarking campaign start-up cost.
-	NoClone bool
 
 	// Obs configures campaign observability (metrics, injection traces,
 	// live progress). The zero value is fully off and costs ~nothing.
@@ -375,12 +368,10 @@ func (r *Report) add(res Result, keep bool) {
 	}
 }
 
-// newWorkerRunner builds the model for one extra campaign worker. It is a
-// package variable so tests can force a worker start failure.
-var newWorkerRunner = func(proto *Runner, cfg CampaignConfig) (*Runner, error) {
-	if cfg.NoClone {
-		return NewRunner(cfg.Runner)
-	}
+// newWorkerRunner builds the model for one extra campaign worker: a warm
+// clone of the prototype. It is a package variable so tests can force a
+// worker start failure.
+var newWorkerRunner = func(proto *Runner, _ CampaignConfig) (*Runner, error) {
 	return proto.Clone(), nil
 }
 
@@ -527,11 +518,11 @@ func SampleCampaignBits(db *latch.DB, seed uint64, flips int, f latch.Filter) []
 // RunCampaign executes a campaign: it samples Flips latch bits from the
 // filtered population and classifies every injection, fanning the work out
 // over concurrent model copies. The AVP is generated and warmed once, in
-// the prototype runner; the other workers are warm clones of it (unless
-// NoClone is set). A worker that fails to start aborts the campaign: the
-// dispatcher stops handing out injections as soon as the first failure is
-// reported, and every distinct worker error is surfaced in the returned
-// (joined) error so multi-worker failures aren't masked by the first one.
+// the prototype runner; the other workers are warm clones of it. A worker
+// that fails to start aborts the campaign: the dispatcher stops handing
+// out injections as soon as the first failure is reported, and every
+// distinct worker error is surfaced in the returned (joined) error so
+// multi-worker failures aren't masked by the first one.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	return RunCampaignContext(context.Background(), cfg)
 }
@@ -555,6 +546,48 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error
 	return RunCampaignWith(ctx, first, cfg)
 }
 
+// draw is one unit of a campaign epoch: consecutive bits of one
+// deterministic sampling sequence, keyed by their stratum ("" for the
+// pooled uniform sample), with the phase-grouped batch plan they dispatch
+// as. Batches index bits and res by sequence position and are disjoint, so
+// workers write result slots without synchronization.
+type draw struct {
+	key     string
+	bits    []int
+	batches [][]int
+	res     []Result
+	sent    int // batches dispatched so far
+}
+
+func newDraw(key string, bits []int, phases, batchSize int) *draw {
+	return &draw{key: key, bits: bits, batches: planBatches(bits, phases, batchSize), res: make([]Result, len(bits))}
+}
+
+// merge folds the draw's executed results into rep in sequence order, and
+// into row when row is non-nil. A draw cut short by an early stop holds
+// the invalid zero Result at its undispatched positions, so only the
+// dispatched batches' positions are merged.
+func (d *draw) merge(rep *Report, row map[Outcome]int, keep bool) {
+	var done []bool
+	if d.sent < len(d.batches) {
+		done = make([]bool, len(d.res))
+		for _, b := range d.batches[:d.sent] {
+			for _, pos := range b {
+				done[pos] = true
+			}
+		}
+	}
+	for pos, res := range d.res {
+		if done != nil && !done[pos] {
+			continue
+		}
+		rep.add(res, keep)
+		if row != nil {
+			row[res.Outcome]++
+		}
+	}
+}
+
 // RunCampaignWith runs a campaign on an already-built prototype runner,
 // which must have been constructed from cfg.Runner. It is the shard
 // execution primitive for distributed workers: building and warming the
@@ -562,6 +595,22 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error
 // and runs every leased shard against it (clones are still created per
 // campaign worker as usual). The prototype's observability attachments are
 // reset to cfg.Obs on every call.
+//
+// Every campaign runs as a sequence of epochs, each a list of draws that
+// is dispatched over the worker pool and settled before the next epoch is
+// planned. The three sampling shapes differ only in where their epochs
+// come from:
+//   - a pooled uniform campaign is one epoch of one draw: the
+//     SampleCampaignBits sample, or its Shard slice;
+//   - a stratum shard (Stratum set) is one epoch of one draw: the slice of
+//     that stratum's SamplePlan sequence;
+//   - a stratified campaign (AllocNeyman) gets each epoch from the Neyman
+//     allocator over the settled per-stratum counts, one draw per
+//     allocated stratum extending that stratum's prefix.
+//
+// A pooled or shard campaign may stop on convergence before any dispatch;
+// a stratified one only at epoch barriers, which together with allocation
+// over settled counts keeps it deterministic across worker counts.
 func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*Report, error) {
 	if cfg.Flips < 1 {
 		return nil, fmt.Errorf("core: campaign needs at least one flip")
@@ -575,73 +624,132 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		return nil, fmt.Errorf("core: campaign of %d flips exceeds the filtered population of %d bits",
 			cfg.Flips, total)
 	}
-	// A stratified campaign runs the epoch-allocating executor; a stratum
-	// shard (a distributed worker's slice of one stratum's sequence) falls
-	// through to the ordinary machinery over the stratum's bits.
-	if cfg.Alloc.Stratified() && cfg.Stratum == "" {
-		return runStratified(ctx, first, cfg)
+	stratified := cfg.Alloc.Stratified() && cfg.Stratum == ""
+	if stratified && cfg.Shard != nil {
+		return nil, fmt.Errorf("core: a stratified campaign cannot take a pooled shard range (shards of stratified campaigns carry a stratum)")
 	}
-	// Campaign tracing: campaign.run encloses the whole local run; its
-	// children are the sample/plan span, one span per bit-parallel batch
-	// pass (recorded by the runners), and the merge span. All tracer and
-	// span calls are nil-safe, so the untraced path takes no branches
-	// beyond these calls themselves.
-	runSp := cfg.Obs.Tracer.StartSpan("campaign.run", "core", cfg.Obs.Parent)
-	sampleSp := cfg.Obs.Tracer.StartSpan("sample", "core", runSp.Context())
-	var bits []int
-	if cfg.Stratum != "" {
-		// One stratum's deterministic sequence: Shard indexes it directly,
-		// so any [Lo, Hi) of any stratum is reproducible independently of
-		// every other stratum (the plan's prefix-stability contract).
-		stratum := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter).Stratum(cfg.Stratum)
-		if stratum == nil {
-			return nil, fmt.Errorf("core: unknown sampling stratum %q", cfg.Stratum)
-		}
-		bits = stratum.Bits
-		if cfg.Shard != nil {
-			s := *cfg.Shard
-			if s.Lo < 0 || s.Hi > len(bits) || s.Lo >= s.Hi {
-				return nil, fmt.Errorf("core: shard [%d,%d) out of range for stratum %s of %d bits",
-					s.Lo, s.Hi, cfg.Stratum, len(bits))
-			}
-			bits = bits[s.Lo:s.Hi]
-		}
-	} else {
-		bits = SampleCampaignBits(first.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
-		if cfg.Shard != nil {
-			s := *cfg.Shard
-			if s.Lo < 0 || s.Hi > cfg.Flips || s.Lo >= s.Hi {
-				return nil, fmt.Errorf("core: shard [%d,%d) out of range for %d flips", s.Lo, s.Hi, cfg.Flips)
-			}
-			bits = bits[s.Lo:s.Hi]
-		}
+	if stratified && cfg.Stop.Enabled() {
+		// Stratified allocation makes the per-stratum margins the stoppable
+		// target: the rule's Strata gate is armed for the estimator, the
+		// stop decision and the final report evaluation alike.
+		cfg.Stop.Strata = true
 	}
+	rule := cfg.Stop.Rule()
+	classes := outcomeNames()
 	// Batch planning: a bit-parallel backend (engine.BatchBackend)
 	// classifies up to BatchSize injections per model pass, so the unit of
-	// dispatch is a batch of sample positions rather than one position.
-	// The plan is a pure function of the bit sample (grouping by each
-	// bit's deterministic checkpoint phase), so Reports stay identical
-	// across worker counts — and, by the scalar-equivalence guarantee,
-	// identical to the scalar path bit for bit. Scalar backends get
-	// one-position batches and the original per-injection dispatch.
-	batchSize := first.BatchSize()
-	batched := batchSize > 1
-	if !batched {
-		batchSize = 1
+	// dispatch is a batch of sample positions. The plan is a pure function
+	// of the bits (grouping by each bit's deterministic checkpoint phase),
+	// so Reports stay identical across worker counts and, by the
+	// scalar-equivalence guarantee, to the scalar path. Scalar runners get
+	// one-position batches.
+	batchSize, phases := first.BatchSize(), first.Backend().Phases()
+
+	// Campaign tracing: campaign.run encloses the whole local run; its
+	// children are the sample span, one allocate span per stratified epoch,
+	// one span per bit-parallel batch pass (recorded by the runners), and
+	// the merge span. All tracer and span calls are nil-safe, so the
+	// untraced path takes no branches beyond these calls themselves.
+	runSp := cfg.Obs.Tracer.StartSpan("campaign.run", "core", cfg.Obs.Parent)
+	sampleSp := cfg.Obs.Tracer.StartSpan("sample", "core", runSp.Context())
+
+	// Adaptive statistical stop: workers stream every classified outcome
+	// into a shared sequential-interval estimator, which the stop decision
+	// polls. A stratified campaign always runs one: its Neyman allocator
+	// feeds on the per-stratum counts, and convergence views are surfaced
+	// only when a rule is armed.
+	var est *stats.Estimator
+	var epochs func(epoch int) []*draw // nil once the campaign is planned out
+	var pops map[string]int
+	total, maxWorkers := cfg.Flips, cfg.Flips
+	if stratified {
+		plan := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter)
+		pops = plan.Populations()
+		sampleSp.AttrInt("flips", int64(cfg.Flips)).
+			AttrInt("strata", int64(len(plan.Strata))).
+			AttrInt("population", int64(plan.TotalBits())).
+			End()
+		est = stats.NewEstimator(classes, rule)
+		est.TrackStrata(pops)
+		drawn := make(map[string]int, len(plan.Strata))
+		epochBudget := (cfg.Flips + cfg.Alloc.epochs() - 1) / cfg.Alloc.epochs()
+		remaining := cfg.Flips
+		epochs = func(epoch int) []*draw {
+			if remaining == 0 {
+				return nil
+			}
+			shares := rule.Allocate(classes, est.StrataStates(plan.Keys(), pops, drawn), min(remaining, epochBudget))
+			allocated := 0
+			for _, sh := range shares {
+				allocated += sh.Next
+			}
+			if allocated == 0 {
+				// Every stratum's population is exhausted; the campaign
+				// cannot spend the rest of its budget.
+				return nil
+			}
+			remaining -= allocated
+			emitAllocationEvent(cfg.Obs.Trace, epoch, allocated, shares)
+			cfg.Obs.Tracer.StartSpan("allocate", "core", runSp.Context()).
+				AttrInt("epoch", int64(epoch)).AttrInt("budget", int64(allocated)).End()
+			var draws []*draw
+			for _, sh := range shares {
+				if sh.Next == 0 {
+					continue
+				}
+				lo := drawn[sh.Stratum]
+				draws = append(draws, newDraw(sh.Stratum, plan.Stratum(sh.Stratum).Bits[lo:lo+sh.Next], phases, batchSize))
+				drawn[sh.Stratum] = lo + sh.Next
+			}
+			return draws
+		}
+	} else {
+		var bits []int
+		if cfg.Stratum != "" {
+			// One stratum's deterministic sequence: Shard indexes it
+			// directly, so any [Lo, Hi) of any stratum is reproducible
+			// independently of every other stratum (the plan's
+			// prefix-stability contract).
+			stratum := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter).Stratum(cfg.Stratum)
+			if stratum == nil {
+				return nil, fmt.Errorf("core: unknown sampling stratum %q", cfg.Stratum)
+			}
+			bits = stratum.Bits
+		} else {
+			bits = SampleCampaignBits(first.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
+		}
+		if s := cfg.Shard; s != nil {
+			if s.Lo < 0 || s.Hi > len(bits) || s.Lo >= s.Hi {
+				scope := fmt.Sprintf("%d flips", cfg.Flips)
+				if cfg.Stratum != "" {
+					scope = fmt.Sprintf("stratum %s of %d bits", cfg.Stratum, len(bits))
+				}
+				return nil, fmt.Errorf("core: shard [%d,%d) out of range for %s", s.Lo, s.Hi, scope)
+			}
+			bits = bits[s.Lo:s.Hi]
+		}
+		d := newDraw(cfg.Stratum, bits, phases, batchSize)
+		total, maxWorkers = len(bits), len(d.batches)
+		sampleSp.AttrInt("flips", int64(cfg.Flips)).
+			AttrInt("injections", int64(len(bits))).
+			AttrInt("batches", int64(len(d.batches))).
+			End()
+		if cfg.Stop.Enabled() {
+			est = stats.NewEstimator(classes, rule)
+		}
+		epochs = func(epoch int) []*draw {
+			if epoch > 0 {
+				return nil
+			}
+			return []*draw{d}
+		}
 	}
-	batches := planBatches(bits, first.Backend().Phases(), batchSize)
-	sampleSp.AttrInt("flips", int64(cfg.Flips)).
-		AttrInt("injections", int64(len(bits))).
-		AttrInt("batches", int64(len(batches))).
-		End()
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(batches) {
-		workers = len(batches)
-	}
+	workers = min(workers, maxWorkers)
 
 	// Observability: each worker records into its own collector (no shared
 	// cache lines on the hot path); progress and the final Report merge the
@@ -649,10 +757,9 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	collect := cfg.Obs.Metrics || cfg.Obs.Progress != nil
 	var metrics []*obs.Metrics
 	if collect {
-		names := outcomeNames()
 		metrics = make([]*obs.Metrics, workers)
 		for w := range metrics {
-			metrics[w] = obs.New(names)
+			metrics[w] = obs.New(classes)
 		}
 	}
 	workerObs := func(w int) *obs.Metrics {
@@ -673,55 +780,36 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	first.SetObs(workerObs(0), cfg.Obs.Trace)
 	first.SetSpan(cfg.Obs.Tracer, runSp.Context())
 
-	// Adaptive statistical stop: workers stream every classified outcome
-	// into a shared sequential-interval estimator. The dispatch loop polls
-	// it between dispatches and, on a hit, lets in-flight batches settle
-	// (pending == 0) before confirming over the exact counts — a late
-	// result can move a class's fraction and re-widen its interval, so
-	// only settled counts may seal the decision. That makes the final
-	// report's convergence evaluation agree with the stop decision by
-	// construction (the dist coordinator gets the same property from
-	// sealing completed shards only).
-	var est *stats.Estimator
-	var pending atomic.Int64
-	var stopMon, monDone chan struct{}
-	// seen dedups convergence events; only the monitor goroutine touches
-	// it while workers run, the final emission only after the monitor has
-	// stopped.
-	seen := make(map[string]bool)
-	if cfg.Stop.Enabled() {
-		est = stats.NewEstimator(outcomeNames(), cfg.Stop.Rule())
+	// A job is one batch of a draw. inflight counts dispatched, unsettled
+	// jobs: the dispatcher waits on it at epoch barriers and before
+	// confirming a stop.
+	type job struct {
+		d     *draw
+		batch []int
 	}
-
-	results := make([]Result, len(bits))
-	var wg sync.WaitGroup
-	next := make(chan int)
+	var wg, inflight sync.WaitGroup
+	jobs := make(chan job)
 	errCh := make(chan error, workers)
-
 	worker := func(r *Runner) {
 		defer wg.Done()
-		for bi := range next {
-			batch := batches[bi]
-			if !batched {
-				res := r.RunInjection(bits[batch[0]])
-				results[batch[0]] = res
-				if est != nil {
-					est.Observe(int(res.Outcome), res.Unit, res.LatchType.String())
-				}
-				pending.Add(-1)
-				continue
+		for j := range jobs {
+			bits := make([]int, len(j.batch))
+			for k, pos := range j.batch {
+				bits[k] = j.d.bits[pos]
 			}
-			group := make([]int, len(batch))
-			for j, pos := range batch {
-				group[j] = bits[pos]
+			// Only a stratified campaign's estimator tracks sampling strata;
+			// "" folds the sample into the pooled counts alone.
+			stratum := ""
+			if stratified {
+				stratum = j.d.key
 			}
-			for j, res := range r.RunInjectionBatch(group) {
-				results[batch[j]] = res
+			for k, res := range r.RunInjectionBatch(bits) {
+				j.d.res[j.batch[k]] = res
 				if est != nil {
-					est.Observe(int(res.Outcome), res.Unit, res.LatchType.String())
+					est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), stratum)
 				}
 			}
-			pending.Add(-1)
+			inflight.Done()
 		}
 	}
 
@@ -748,8 +836,10 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 				case <-stopProg:
 					return
 				case <-t.C:
-					p := ProgressFrom(mergedSnapshot(), len(bits), workers, start)
-					p.Convergence = est.Snapshot(false)
+					p := ProgressFrom(mergedSnapshot(), total, workers, start)
+					if cfg.Stop.Enabled() {
+						p.Convergence = est.Snapshot(false)
+					}
 					cfg.Obs.Progress(p)
 				}
 			}
@@ -762,8 +852,12 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// events as they happen. When StopOnConverge is armed the
 	// campaign-wide stop event is withheld here and emitted by the final
 	// pass over the authoritative evaluation instead, so its n matches
-	// the report exactly.
-	if est != nil {
+	// the report exactly. seen dedups convergence events; only the monitor
+	// touches it while workers run, the final emission only after the
+	// monitor has stopped.
+	seen := make(map[string]bool)
+	var stopMon, monDone chan struct{}
+	if cfg.Stop.Enabled() {
 		stopMon = make(chan struct{})
 		monDone = make(chan struct{})
 		go func() {
@@ -785,12 +879,9 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// (value planes, counters), so the prototype may not start injecting
 	// until every extra worker has finished cloning from it. Clones are
 	// still taken concurrently with each other — they only read the
-	// prototype — and the NoClone path builds from scratch without touching
-	// it, so only the cloning path gates the prototype's start.
+	// prototype.
 	var cloning sync.WaitGroup
-	if !cfg.NoClone {
-		cloning.Add(workers - 1)
-	}
+	cloning.Add(workers - 1)
 	go func() {
 		cloning.Wait()
 		worker(first)
@@ -798,9 +889,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	for w := 1; w < workers; w++ {
 		go func() {
 			r, err := newWorkerRunner(first, cfg)
-			if !cfg.NoClone {
-				cloning.Done()
-			}
+			cloning.Done()
 			if err != nil {
 				errCh <- fmt.Errorf("core: worker %d failed to start: %w", w, err)
 				wg.Done()
@@ -816,44 +905,60 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// reports a start failure, the context is cancelled, or the stop rule
 	// is confirmed over settled counts. Convergence is the one
 	// *successful* early exit: in-flight batches run to completion and
-	// the report covers exactly the dispatched prefix of the sample.
+	// the report covers exactly the dispatched batches. A pooled or shard
+	// campaign checks the rule before every dispatch: a hit on the live
+	// view, which lags in-flight batches, pauses dispatch until they
+	// settle and is confirmed over the exact counts — a late result can
+	// move a class's fraction and re-widen its interval, so only settled
+	// counts may seal the decision. That makes the final report's
+	// convergence evaluation agree with the stop decision by construction
+	// (the dist coordinator gets the same property from sealing completed
+	// shards only).
 	var errs []error
-	dispatched := len(batches)
-	stopOnConverge := est != nil && cfg.Stop.StopOnConverge
+	var planned []*draw
+	midEpochStop := !stratified && cfg.Stop.StopOnConverge
 	// Re-confirming on the same counts would spin; only re-check after a
 	// failed confirmation once new samples have landed.
 	confirmFailedAt := int64(-1)
 dispatch:
-	for i := 0; i < len(batches); {
-		if stopOnConverge && est.Total() != confirmFailedAt && est.Converged() {
-			// Tentative hit on the live view, which lags in-flight
-			// batches: wait for them to settle, then confirm over the
-			// exact counts. Dispatch is paused, so pending only drains.
-			for pending.Load() > 0 {
-				time.Sleep(100 * time.Microsecond)
-			}
-			if est.Converged() {
-				dispatched = i
+	for epoch := 0; ; epoch++ {
+		draws := epochs(epoch)
+		if draws == nil {
+			break
+		}
+		planned = append(planned, draws...)
+		for _, d := range draws {
+			for d.sent < len(d.batches) {
+				if midEpochStop && est.Total() != confirmFailedAt && est.Converged() {
+					inflight.Wait()
+					if est.Converged() {
+						break dispatch
+					}
+					confirmFailedAt = est.Total()
+					continue
+				}
+				inflight.Add(1)
+				select {
+				case jobs <- job{d, d.batches[d.sent]}:
+					d.sent++
+					continue
+				case e := <-errCh:
+					errs = append(errs, e)
+				case <-ctx.Done():
+					errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
+				}
+				inflight.Done()
 				break dispatch
 			}
-			confirmFailedAt = est.Total()
-			continue
 		}
-		select {
-		case e := <-errCh:
-			errs = append(errs, e)
-			dispatched = i
-			break dispatch
-		case <-ctx.Done():
-			errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
-			dispatched = i
-			break dispatch
-		case next <- i:
-			pending.Add(1)
-			i++
+		// The epoch barrier: every dispatched batch settles before counts
+		// are evaluated or the next epoch is allocated.
+		inflight.Wait()
+		if cfg.Stop.StopOnConverge && est.Converged() {
+			break
 		}
 	}
-	close(next)
+	close(jobs)
 	wg.Wait()
 	if stopMon != nil {
 		close(stopMon)
@@ -875,11 +980,11 @@ drain:
 		}
 	}
 	if len(errs) > 0 {
-		seen := make(map[string]bool, len(errs))
+		dedup := make(map[string]bool, len(errs))
 		distinct := errs[:0]
 		for _, e := range errs {
-			if !seen[e.Error()] {
-				seen[e.Error()] = true
+			if !dedup[e.Error()] {
+				dedup[e.Error()] = true
 				distinct = append(distinct, e)
 			}
 		}
@@ -890,37 +995,24 @@ drain:
 		return nil, err
 	}
 
+	// The merge goes epoch by epoch, draw by draw, in sequence order, so
+	// kept Results stay in the campaign's deterministic dispatch order.
+	// A keyed draw also accumulates its stratum's ByStratum row, which is
+	// how merged shard reports build the campaign's per-stratum breakdown.
 	mergeSp := cfg.Obs.Tracer.StartSpan("merge", "core", runSp.Context())
 	rep := newReport()
-	if dispatched == len(batches) {
-		for _, res := range results {
-			rep.add(res, cfg.KeepResults)
-		}
-	} else {
-		// Early stop: only the dispatched batches' sample positions were
-		// executed (undispatched positions hold the invalid zero Result).
-		// Aggregate in sample-position order so kept Results stay in the
-		// campaign's deterministic dispatch order.
-		done := make([]bool, len(results))
-		for bi := 0; bi < dispatched; bi++ {
-			for _, pos := range batches[bi] {
-				done[pos] = true
+	for _, d := range planned {
+		var row map[Outcome]int
+		if d.key != "" {
+			if rep.ByStratum == nil {
+				rep.ByStratum = make(map[string]map[Outcome]int)
+			}
+			if row = rep.ByStratum[d.key]; row == nil {
+				row = make(map[Outcome]int)
+				rep.ByStratum[d.key] = row
 			}
 		}
-		for pos, res := range results {
-			if done[pos] {
-				rep.add(res, cfg.KeepResults)
-			}
-		}
-	}
-	if cfg.Stratum != "" {
-		// The whole shard draws from one stratum; merging shard reports
-		// accumulates these rows into the campaign's per-stratum breakdown.
-		row := make(map[Outcome]int, len(rep.Counts))
-		for o, n := range rep.Counts {
-			row[o] = n
-		}
-		rep.ByStratum = map[string]map[Outcome]int{cfg.Stratum: row}
+		d.merge(rep, row, cfg.KeepResults)
 	}
 	rep.Workers = workers
 	if collect {
@@ -929,8 +1021,13 @@ drain:
 	if cfg.Stop.Enabled() {
 		// The authoritative evaluation: exact aggregate counts (the
 		// monitor's live view lags in-flight batches), with per-unit and
-		// per-type strata.
-		rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule())
+		// per-type strata, plus the sampling strata of a stratified
+		// campaign.
+		if stratified {
+			rep.Convergence = rep.ComputeConvergenceStrata(rule, pops)
+		} else {
+			rep.Convergence = rep.ComputeConvergence(rule)
+		}
 		// Final convergence events over that evaluation: a fast campaign
 		// can finish before the monitor's first tick, and the stop event
 		// must carry the settled n. The monitor has stopped, so seen is
@@ -941,7 +1038,7 @@ drain:
 	if cfg.Obs.Progress != nil {
 		// One final, complete update (the ticker goroutine has stopped, so
 		// this never races with a periodic call).
-		p := ProgressFrom(rep.Metrics, len(bits), workers, start)
+		p := ProgressFrom(rep.Metrics, total, workers, start)
 		p.Convergence = rep.Convergence
 		cfg.Obs.Progress(p)
 	}
@@ -949,6 +1046,15 @@ drain:
 		runSp.AttrInt("injections", int64(rep.Total)).AttrInt("workers", int64(workers)).End()
 	}
 	return rep, nil
+}
+
+// emitAllocationEvent records one epoch's allocation decision as a JSONL
+// allocation event.
+func emitAllocationEvent(trace *obs.TraceSink, epoch, budget int, shares []stats.StratumShare) {
+	if trace == nil {
+		return
+	}
+	trace.RecordJSON(obs.AllocationEvent{Kind: "allocate", Epoch: epoch, Budget: budget, Shares: shares})
 }
 
 // emitConvergenceEvents records each class's first margin crossing — and,

@@ -239,20 +239,25 @@ func TestCampaignAllWorkerErrorsSurfaced(t *testing.T) {
 	cfg := fastCampaignConfig()
 	cfg.Workers = 4
 	cfg.Flips = 4000
-	_, err := RunCampaign(cfg)
-	if err == nil {
-		t.Fatal("no error from all-workers-failed campaign")
-	}
-	if !errors.Is(err, sentinelA) || !errors.Is(err, sentinelB) {
-		t.Fatalf("joined error missing a distinct failure: %v", err)
-	}
-	// Duplicate messages are deduplicated: each worker's message is unique
-	// (it carries the worker index), so here every reported one appears once.
-	msg := err.Error()
-	for _, w := range []string{"worker 1", "worker 2", "worker 3"} {
-		if strings.Count(msg, w) > 1 {
-			t.Errorf("worker error %q duplicated in %q", w, msg)
-		}
+	for _, tc := range allocShapes(cfg) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunCampaign(tc.cfg)
+			if err == nil {
+				t.Fatal("no error from all-workers-failed campaign")
+			}
+			if !errors.Is(err, sentinelA) || !errors.Is(err, sentinelB) {
+				t.Fatalf("joined error missing a distinct failure: %v", err)
+			}
+			// Duplicate messages are deduplicated: each worker's message is
+			// unique (it carries the worker index), so here every reported one
+			// appears once.
+			msg := err.Error()
+			for _, w := range []string{"worker 1", "worker 2", "worker 3"} {
+				if strings.Count(msg, w) > 1 {
+					t.Errorf("worker error %q duplicated in %q", w, msg)
+				}
+			}
+		})
 	}
 }
 

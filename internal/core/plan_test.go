@@ -156,16 +156,12 @@ func TestStratifiedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(one.Counts, four.Counts) {
-		t.Errorf("stratified totals differ across worker counts:\n1: %v\n4: %v", one.Counts, four.Counts)
+	if one.Convergence == nil {
+		t.Fatal("stratified campaign with a stop rule reported no convergence")
 	}
-	if !reflect.DeepEqual(one.ByStratum, four.ByStratum) {
-		t.Errorf("stratified per-stratum counts differ across worker counts:\n1: %v\n4: %v", one.ByStratum, four.ByStratum)
-	}
-	if one.Convergence == nil || four.Convergence == nil ||
-		one.Convergence.Converged != four.Convergence.Converged ||
-		one.Convergence.Total != four.Convergence.Total {
-		t.Errorf("stratified stop decision differs across worker counts")
+	// Workers differs by construction; compare everything else.
+	if a, b := strings.TrimPrefix(reportDump(t, one), "workers=1 "), strings.TrimPrefix(reportDump(t, four), "workers=4 "); a != b {
+		t.Errorf("stratified reports differ across worker counts:\n1: %s\n4: %s", a, b)
 	}
 }
 

@@ -268,8 +268,17 @@ func (r *Runner) BatchSize() int {
 // gets its own fault lane, and per-bit Results are identical to running
 // each bit through RunInjection. All bits must share one checkpoint phase
 // (the campaign's batch planner groups them) and the group must fit the
-// backend's MaxBatch.
+// backend's MaxBatch. A scalar runner (BatchSize below 2) runs the bits
+// through RunInjection one at a time instead, opening no batch span — so
+// the campaign executor dispatches every runner the same way.
 func (r *Runner) RunInjectionBatch(bits []int) []Result {
+	if r.BatchSize() < 2 {
+		out := make([]Result, len(bits))
+		for i, bit := range bits {
+			out[i] = r.RunInjection(bit)
+		}
+		return out
+	}
 	bb := r.be.(engine.BatchBackend)
 	phases := r.be.Phases()
 	ckIdx := -1

@@ -146,8 +146,10 @@ func TestRunCampaignContextCancelled(t *testing.T) {
 	cancel()
 	cfg := fastCampaignConfig()
 	cfg.Flips = 40
-	if _, err := RunCampaignContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	for _, tc := range allocShapes(cfg) {
+		if _, err := RunCampaignContext(ctx, tc.cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled campaign returned %v, want context.Canceled", tc.name, err)
+		}
 	}
 }
 

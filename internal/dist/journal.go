@@ -22,7 +22,8 @@ import (
 // already marked done, every recorded allocation re-applied verbatim (in
 // order — an allocation is a function of the sealed counts before it), and
 // the stop decision, if one was reached, honored verbatim. A torn final
-// line (crash mid-append) is ignored on replay — that work simply reruns.
+// line (crash mid-append) is truncated away on open — that work simply
+// reruns.
 
 type journalHeader struct {
 	V    int    `json:"v"`
@@ -87,44 +88,50 @@ type journal struct {
 // openJournal opens (or creates) the journal at path for the campaign
 // described by hdr, returning the recovered entries in file order. An
 // existing journal whose header does not match hdr is rejected: resuming a
-// different campaign over it would merge unrelated shards.
+// different campaign over it would merge unrelated shards. Only
+// newline-terminated lines are complete; a torn tail is cut off the file
+// before appending, so the next entry starts on a line of its own instead
+// of being glued onto the torn bytes.
 func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []replayEntry, error) {
 	var entries []replayEntry
 	data, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err) || (err == nil && len(data) == 0):
-		// Fresh journal.
-	case err != nil:
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("dist: read journal: %w", err)
-	default:
-		lines := bytes.Split(data, []byte("\n"))
+	}
+	// good is the length of the journal's durable prefix: the header and
+	// every complete, decodable entry line after it.
+	good := 0
+	if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 		var got journalHeader
-		if err := json.Unmarshal(lines[0], &got); err != nil {
+		if err := json.Unmarshal(data[:nl], &got); err != nil {
 			return nil, nil, fmt.Errorf("dist: journal %s: bad header: %w", path, err)
 		}
 		if got != hdr {
 			return nil, nil, fmt.Errorf("dist: journal %s belongs to a different campaign plan (%+v, want %+v)",
 				path, got, hdr)
 		}
-		for i, line := range lines[1:] {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var e journalEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				// Torn tail from a crash mid-append: rerun that work.
-				log.Warn("journal torn tail ignored", "path", path, "line", i+2)
+		good = nl + 1
+		for good < len(data) {
+			end := bytes.IndexByte(data[good:], '\n')
+			if end < 0 {
 				break
 			}
-			re := replayEntry{shard: e.Shard, stop: e.Stop, alloc: e.Alloc}
-			if e.Report != nil {
-				rep, err := e.Report.Report()
-				if err != nil {
-					return nil, nil, fmt.Errorf("dist: journal %s: shard %d: %w", path, e.Shard, err)
+			if raw := data[good : good+end]; len(bytes.TrimSpace(raw)) != 0 {
+				var e journalEntry
+				if err := json.Unmarshal(raw, &e); err != nil {
+					break
 				}
-				re.report = rep
+				re := replayEntry{shard: e.Shard, stop: e.Stop, alloc: e.Alloc}
+				if e.Report != nil {
+					rep, err := e.Report.Report()
+					if err != nil {
+						return nil, nil, fmt.Errorf("dist: journal %s: shard %d: %w", path, e.Shard, err)
+					}
+					re.report = rep
+				}
+				entries = append(entries, re)
 			}
-			entries = append(entries, re)
+			good += end + 1
 		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -132,7 +139,20 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 		return nil, nil, fmt.Errorf("dist: open journal: %w", err)
 	}
 	j := &journal{f: f}
-	if len(data) == 0 {
+	if good < len(data) {
+		// Torn tail from a crash mid-append (or mid-header, which leaves no
+		// entries at all): drop it, and rerun whatever work it recorded.
+		log.Warn("journal torn tail truncated", "path", path, "offset", good, "bytes", len(data)-good)
+		if err := f.Truncate(int64(good)); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("dist: truncate journal: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("dist: truncate journal: %w", err)
+		}
+	}
+	if good == 0 {
 		if err := j.writeLine(hdr); err != nil {
 			f.Close()
 			return nil, nil, err
